@@ -411,10 +411,10 @@ func foldErrors[T any](results []T, get func(T) *api.Error) *api.Error {
 // relays the shard's response verbatim. During a topology transition
 // window a remapped VM may still be resident on its old owner (the
 // drain has not reached it yet), so a not_resident answer from the new
-// owner falls back to the old one — a release is only a 404 when both
-// owners deny residency. The fall-back composes with the drain's own
-// compensation: whichever side releases first wins, and the other call
-// folds into not_resident.
+// owner falls back to the old one (see callOwner) — a release is only a
+// 404 when both owners deny residency, the new one twice. The fall-back
+// composes with the drain's own compensation: whichever side releases
+// first wins, and the other call folds into not_resident.
 func (g *Gate) handleRelease(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
@@ -422,22 +422,41 @@ func (g *Gate) handleRelease(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("bad vm id %q", r.PathValue("id")))
 		return
 	}
-	ts := g.topo.Load()
-	s := ts.cur.Assign(id)
-	_, data, perr := g.call(r.Context(), s, http.MethodDelete, "/v1/vms/"+strconv.Itoa(id), nil)
-	if perr != nil && ts.prev != nil && perr.Envelope.Code == api.CodeNotResident {
-		if old := ts.prev.Assign(id); old.Name != s.Name {
-			if _, data2, perr2 := g.call(r.Context(), old, http.MethodDelete, "/v1/vms/"+strconv.Itoa(id), nil); perr2 == nil {
-				data, perr = data2, nil
-			}
-		}
-	}
+	_, data, perr := g.callOwner(r.Context(), id, http.MethodDelete, "/v1/vms/"+strconv.Itoa(id), nil)
 	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data) //nolint:errcheck // client gone
+}
+
+// callOwner sends a per-VM request to the shard hosting the VM and
+// returns that shard with the response. Outside a transition window
+// that is the VM's owner under the current map. Inside one, a VM the
+// drain has not moved yet answers not_resident on its new owner, so the
+// request falls back to the previous owner. If the previous owner
+// refuses too, the drain may have moved the VM between the two calls —
+// moves adopt on the new owner before releasing from the old one — so
+// the new owner is asked once more and its answer stands. Any refusal
+// counts: a migration naming one of the new owner's servers is refused
+// by the old owner as infeasible, not as not_resident.
+func (g *Gate) callOwner(ctx context.Context, id int, method, path string, body []byte) (Shard, []byte, *api.Error) {
+	ts := g.topo.Load()
+	s := ts.cur.Assign(id)
+	_, data, perr := g.call(ctx, s, method, path, body)
+	if perr == nil || ts.prev == nil || perr.Envelope.Code != api.CodeNotResident {
+		return s, data, perr
+	}
+	old := ts.prev.Assign(id)
+	if old.Name == s.Name {
+		return s, data, perr
+	}
+	if _, data2, perr2 := g.call(ctx, old, method, path, body); perr2 == nil {
+		return old, data2, nil
+	}
+	_, data, perr = g.call(ctx, s, method, path, body)
+	return s, data, perr
 }
 
 // handleMigrate routes a manual migration to the shard owning the VM ID
@@ -454,23 +473,14 @@ func (g *Gate) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, status, api.CodeBadRequest, err)
 		return
 	}
-	ts := g.topo.Load()
-	s := ts.cur.Assign(req.VM)
 	body, merr := json.Marshal(req)
 	if merr != nil {
 		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, merr)
 		return
 	}
-	_, data, perr := g.call(r.Context(), s, http.MethodPost, "/v1/migrations", body)
-	if perr != nil && ts.prev != nil && perr.Envelope.Code == api.CodeNotResident {
-		// Transition window: the VM may not have been drained off its
-		// old owner yet, and migrations address servers within a shard.
-		if old := ts.prev.Assign(req.VM); old.Name != s.Name {
-			if _, data2, perr2 := g.call(r.Context(), old, http.MethodPost, "/v1/migrations", body); perr2 == nil {
-				data, perr, s = data2, nil, old
-			}
-		}
-	}
+	// Migrations address servers within a shard, so during a transition
+	// window the request goes wherever the VM currently lives.
+	s, data, perr := g.callOwner(r.Context(), req.VM, http.MethodPost, "/v1/migrations", body)
 	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return

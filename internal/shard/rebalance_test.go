@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -401,5 +403,113 @@ func TestTopologyEndpointValidation(t *testing.T) {
 	resp, raw2 = post(fmt.Sprintf(`{"epoch":5,"shards":[{"name":"a","url":%q}]}`, srvs["a"].URL))
 	if resp.StatusCode != http.StatusConflict || json.Unmarshal(raw2, &env) != nil || env.Code != api.CodeRebalancing {
 		t.Fatalf("mid-drain POST: status %d body %s, want 409 %s", resp.StatusCode, raw2, api.CodeRebalancing)
+	}
+}
+
+// drainHook is an http.RoundTripper that runs a callback once, right
+// after the first request matching method, path and host has been
+// answered and before the gate sees the answer — it forces an
+// interleaving that otherwise depends on scheduling.
+type drainHook struct {
+	method, path, host string
+	fire               func()
+	fired              atomic.Bool
+}
+
+func (h *drainHook) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if req.Method == h.method && req.URL.Path == h.path && req.URL.Host == h.host &&
+		h.fire != nil && h.fired.CompareAndSwap(false, true) {
+		h.fire()
+	}
+	return resp, err
+}
+
+// TestTransitionRaceAsksNewOwnerAgain forces the drain move that used to
+// turn a transition-window release or migration into a 404: the new
+// owner denies the VM (not adopted yet), the drain then adopts it there
+// and releases it from the old owner, so the old owner denies it too.
+// The gate must ask the new owner once more and succeed.
+func TestTransitionRaceAsksNewOwnerAgain(t *testing.T) {
+	for _, tc := range []struct {
+		name, method string
+		path         func(id int) string
+		body         func(id int) string
+	}{
+		{"release", http.MethodDelete,
+			func(id int) string { return fmt.Sprintf("/v1/vms/%d", id) },
+			func(int) string { return "" }},
+		{"migrate", http.MethodPost,
+			func(int) string { return "/v1/migrations" },
+			func(id int) string { return fmt.Sprintf(`{"vm":%d,"server":307}`, id) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvs := map[string]*httptest.Server{
+				"a": newShardServer(t, 100),
+				"b": newShardServer(t, 200),
+				"c": newShardServer(t, 300),
+			}
+			three := []Shard{
+				{Name: "a", Addr: srvs["a"].URL},
+				{Name: "b", Addr: srvs["b"].URL},
+				{Name: "c", Addr: srvs["c"].URL},
+			}
+			prev, err := NewMap(three[:2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := NewMap(three)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev, cur = prev.WithEpoch(1), cur.WithEpoch(2)
+			id := 1
+			for prev.Assign(id).Name == cur.Assign(id).Name {
+				id++
+			}
+			from, to := prev.Assign(id), cur.Assign(id)
+
+			hook := &drainHook{method: tc.method, path: tc.path(id), host: strings.TrimPrefix(to.Addr, "http://")}
+			g := NewGate(prev, Config{Client: &http.Client{Transport: hook}})
+			gateSrv := httptest.NewServer(g.Handler())
+			t.Cleanup(gateSrv.Close)
+			d := &elasticDeployment{gate: g, gateSrv: gateSrv, byName: srvs}
+			d.mustDo(t, http.MethodPost, "/v1/vms", admitBatch([]int{id}, 1, 40))
+
+			// Open the transition window without starting a drain; the
+			// hook runs the one move this test needs, at the worst time.
+			ts := &topoState{cur: cur, prev: prev}
+			g.prober.SetShards(ts.active())
+			g.topo.Store(ts)
+			var moved bool
+			hook.fire = func() {
+				records, _, err := g.readResidents(context.Background(), []Shard{from})
+				if err != nil || len(records) != 1 {
+					t.Errorf("read residents of %s: %v (%d records)", from.Name, err, len(records))
+					return
+				}
+				ok, _, err := g.moveVM(context.Background(), "", "", Move{ID: id, From: from, To: to}, records[0].pv)
+				moved = ok && err == nil
+			}
+
+			raw := d.mustDo(t, tc.method, tc.path(id), tc.body(id))
+			if !hook.fired.Load() || !moved {
+				t.Fatalf("drain move not interposed (fired %v, moved %v)", hook.fired.Load(), moved)
+			}
+			if tc.name == "migrate" {
+				var rec api.MigrationRecord
+				if err := json.Unmarshal(raw, &rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Shard != to.Name {
+					t.Fatalf("migration answered by shard %q, want new owner %q", rec.Shard, to.Name)
+				}
+				return
+			}
+			_, residents := placementDigestOf(t, d)
+			if residents != 0 {
+				t.Fatalf("%d VMs resident after release, want 0", residents)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package timeline
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Reservation is one live resource claim in a Ledger: a CPU/memory amount
 // held over a closed time interval.
@@ -29,10 +32,10 @@ type Summary struct {
 	End   int
 }
 
-// mark is one compiled step-function boundary: the usage delta taking
-// effect at minute t. Marks sort by (t, end, id) — a fixed total order —
-// so the float accumulation below is byte-reproducible regardless of map
-// iteration order.
+// mark is one step-function boundary: the usage delta taking effect at
+// minute t. Marks sort by (t, end, id) — a fixed total order — so the
+// float accumulation below is byte-reproducible regardless of the order
+// reservations were added in.
 type mark struct {
 	t   int
 	id  int
@@ -41,18 +44,49 @@ type mark struct {
 	mem float64
 }
 
+// before reports whether a sorts strictly before b in (t, end, id) order;
+// at the same minute, starts sort before ends.
+func (a mark) before(b mark) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	if a.end != b.end {
+		return !a.end
+	}
+	return a.id < b.id
+}
+
+// startMark and endMark are a reservation's two boundaries: its demand
+// takes effect at Start and is withdrawn at End+1.
+func startMark(id int, r Reservation) mark {
+	return mark{t: r.Interval.Start, id: id, cpu: r.CPU, mem: r.Mem}
+}
+
+func endMark(id int, r Reservation) mark {
+	return mark{t: r.Interval.End + 1, id: id, end: true, cpu: -r.CPU, mem: -r.Mem}
+}
+
+// firstMark is the earliest minute of a reservation's two marks: its
+// start, unless a malformed interval ends before it begins.
+func firstMark(r Reservation) int {
+	return min(r.Interval.Start, r.Interval.End+1)
+}
+
 // Ledger tracks the live reservations of one server, keyed by VM ID, and
 // answers window-maximum queries from a compiled step function of total
-// usage that is rebuilt eagerly on every mutation.
+// usage that is kept current on every mutation.
 //
 // Unlike the horizon-bound Profile implementations, a Ledger has no
 // planning horizon: intervals may start and end at any positive minute,
-// which is what a long-running allocation service needs. Mutations cost
-// O(k log k) in the number of live reservations (they recompile the step
-// function); MaxUsage is a zero-allocation binary search plus a walk of
-// the overlapped segments, and Summary is O(1) — the fleet's feasibility
-// index reads it to skip provably-infeasible servers without touching
-// the segments at all.
+// which is what a long-running allocation service needs. The boundary
+// marks of all reservations are kept sorted; a mutation binary-searches
+// for its marks, inserts or deletes them in place, and re-accumulates
+// the step function only from the first minute it touches, so it costs
+// O(k) in the number of live reservations and allocates nothing once the
+// ledger's slices have grown to size. MaxUsage is a zero-allocation
+// binary search plus a walk of the overlapped segments, and Summary is
+// O(1) — the fleet's feasibility index reads it to skip
+// provably-infeasible servers without touching the segments at all.
 //
 // Concurrency: MaxUsage, Summary, Get and Len are pure reads and safe
 // for concurrent use; Add, Remove and Truncate must not run concurrently
@@ -63,23 +97,26 @@ type mark struct {
 type Ledger struct {
 	entries map[int]Reservation
 
-	// Compiled step function. Segment s covers minutes
-	// [times[s], times[s+1]-1] with total usage (cpu[s], mem[s]);
-	// len(times) == len(cpu)+1 when non-empty. Usage outside
-	// [times[0], times[m]-1] is zero.
+	// marks holds both boundaries of every live reservation, sorted in
+	// (t, end, id) order.
+	marks []mark
+
+	// Compiled step function: times holds the distinct mark minutes and
+	// cpu[s], mem[s] the running totals after every mark at times[s], so
+	// segment s covers minutes [times[s], times[s+1]-1] with usage
+	// (cpu[s], mem[s]). The last totals are what remains after every
+	// mark — zero up to float rounding — and are kept only to seed the
+	// next re-accumulation. Usage outside [times[0], times[m-1]-1] is
+	// zero, where m = len(times).
 	times []int
 	cpu   []float64
 	mem   []float64
 	sum   Summary
-
-	marks []mark // rebuild scratch, reused across mutations
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	l := &Ledger{entries: make(map[int]Reservation)}
-	l.rebuild()
-	return l
+	return &Ledger{entries: make(map[int]Reservation), sum: Summary{End: -1}}
 }
 
 // Len returns the number of live reservations.
@@ -88,8 +125,16 @@ func (l *Ledger) Len() int { return len(l.entries) }
 // Add records a reservation under the given ID, replacing any existing
 // reservation with that ID.
 func (l *Ledger) Add(id int, r Reservation) {
+	from := firstMark(r)
+	if old, ok := l.entries[id]; ok {
+		l.deleteMark(startMark(id, old))
+		l.deleteMark(endMark(id, old))
+		from = min(from, firstMark(old))
+	}
 	l.entries[id] = r
-	l.rebuild()
+	l.insertMark(startMark(id, r))
+	l.insertMark(endMark(id, r))
+	l.recompile(from)
 }
 
 // Get returns the reservation with the given ID.
@@ -103,8 +148,7 @@ func (l *Ledger) Get(id int) (Reservation, bool) {
 func (l *Ledger) Remove(id int) (Reservation, bool) {
 	r, ok := l.entries[id]
 	if ok {
-		delete(l.entries, id)
-		l.rebuild()
+		l.remove(id, r)
 	}
 	return r, ok
 }
@@ -118,17 +162,25 @@ func (l *Ledger) Truncate(id, newEnd int) (Reservation, bool) {
 		return Reservation{}, false
 	}
 	if newEnd < r.Interval.Start {
-		delete(l.entries, id)
-		l.rebuild()
+		l.remove(id, r)
 		return r, true
 	}
 	if newEnd < r.Interval.End {
 		shrunk := r
 		shrunk.Interval.End = newEnd
 		l.entries[id] = shrunk
-		l.rebuild()
+		l.deleteMark(endMark(id, r))
+		l.insertMark(endMark(id, shrunk))
+		l.recompile(newEnd + 1)
 	}
 	return r, true
+}
+
+func (l *Ledger) remove(id int, r Reservation) {
+	delete(l.entries, id)
+	l.deleteMark(startMark(id, r))
+	l.deleteMark(endMark(id, r))
+	l.recompile(firstMark(r))
 }
 
 // Summary returns the ledger's current interval summary. O(1).
@@ -140,8 +192,8 @@ func (l *Ledger) Summary() Summary { return l.sum }
 // feasibility semantics of the per-resource Profile queries. It allocates
 // nothing: the answer is read off the compiled step function.
 func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
-	m := len(l.cpu)
-	if m == 0 || end < l.times[0] || start >= l.times[m] {
+	m := len(l.times) - 1 // number of segments
+	if m <= 0 || end < l.times[0] || start >= l.times[m] {
 		return 0, 0
 	}
 	if start <= l.times[0] && end >= l.times[m]-1 {
@@ -165,66 +217,81 @@ func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
 	return cpu, mem
 }
 
-// rebuild recompiles the step function and summary from the live
-// reservations. Marks are sorted by the fixed (t, end, id) order, so the
-// running float sums — and therefore every MaxUsage answer and Summary
-// bound derived from them — are byte-reproducible for a given set of
-// reservations, independent of insertion or map iteration order.
-func (l *Ledger) rebuild() {
-	l.times = l.times[:0]
-	l.cpu = l.cpu[:0]
-	l.mem = l.mem[:0]
-	l.sum = Summary{End: -1}
-	if len(l.entries) == 0 {
-		return
-	}
-	marks := l.marks[:0]
-	for id, r := range l.entries {
-		marks = append(marks,
-			mark{t: r.Interval.Start, id: id, cpu: r.CPU, mem: r.Mem},
-			mark{t: r.Interval.End + 1, id: id, end: true, cpu: -r.CPU, mem: -r.Mem},
-		)
-	}
-	sort.Slice(marks, func(a, b int) bool {
-		if marks[a].t != marks[b].t {
-			return marks[a].t < marks[b].t
+// search returns the index of the first mark not before k.
+func (l *Ledger) search(k mark) int {
+	lo, hi := 0, len(l.marks)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if l.marks[h].before(k) {
+			lo = h + 1
+		} else {
+			hi = h
 		}
-		if marks[a].end != marks[b].end {
-			return !marks[a].end // starts before ends at the same minute
-		}
-		return marks[a].id < marks[b].id
-	})
-	l.marks = marks
+	}
+	return lo
+}
+
+func (l *Ledger) insertMark(k mark) {
+	i := l.search(k)
+	l.marks = append(l.marks, mark{})
+	copy(l.marks[i+1:], l.marks[i:])
+	l.marks[i] = k
+}
+
+// deleteMark removes the mark with k's (t, end, id) key, which must be
+// present.
+func (l *Ledger) deleteMark(k mark) {
+	i := l.search(k)
+	copy(l.marks[i:], l.marks[i+1:])
+	l.marks = l.marks[:len(l.marks)-1]
+}
+
+// recompile brings the step function and summary up to date after a
+// mutation whose marks all lie at or after minute from. Marks before from
+// are the same marks in the same order as before the mutation, so the
+// segments before from — and the running totals after them — are
+// unchanged; accumulation resumes from those stored totals and walks the
+// remaining marks in (t, end, id) order. Every float sum therefore equals,
+// bit for bit, a full accumulation over all marks, and so every MaxUsage
+// answer and Summary bound is byte-reproducible for a given set of
+// reservations, independent of insertion order.
+func (l *Ledger) recompile(from int) {
+	s := sort.SearchInts(l.times, from)
 	var curCPU, curMem float64
-	for i := 0; i < len(marks); {
+	if s > 0 {
+		curCPU, curMem = l.cpu[s-1], l.mem[s-1]
+	}
+	times, cpu, mem, marks := l.times[:s], l.cpu[:s], l.mem[:s], l.marks
+	for i := l.search(mark{t: from, id: math.MinInt}); i < len(marks); {
 		t := marks[i].t
-		for i < len(marks) && marks[i].t == t {
+		for ; i < len(marks) && marks[i].t == t; i++ {
 			curCPU += marks[i].cpu
 			curMem += marks[i].mem
-			i++
 		}
-		l.times = append(l.times, t)
-		if i < len(marks) {
-			l.cpu = append(l.cpu, curCPU)
-			l.mem = append(l.mem, curMem)
-		}
+		times = append(times, t)
+		cpu = append(cpu, curCPU)
+		mem = append(mem, curMem)
 	}
-	first := true
-	for s := range l.cpu {
-		if first || l.cpu[s] > l.sum.PeakCPU {
-			l.sum.PeakCPU = l.cpu[s]
+	l.times, l.cpu, l.mem = times, cpu, mem
+
+	sum := Summary{End: -1}
+	if m := len(times) - 1; m >= 0 { // m segments
+		for s := range m {
+			c, mm := cpu[s], mem[s]
+			if s == 0 || c > sum.PeakCPU {
+				sum.PeakCPU = c
+			}
+			if s == 0 || mm > sum.PeakMem {
+				sum.PeakMem = mm
+			}
+			if s == 0 || c < sum.MinCPU {
+				sum.MinCPU = c
+			}
+			if s == 0 || mm < sum.MinMem {
+				sum.MinMem = mm
+			}
 		}
-		if first || l.mem[s] > l.sum.PeakMem {
-			l.sum.PeakMem = l.mem[s]
-		}
-		if first || l.cpu[s] < l.sum.MinCPU {
-			l.sum.MinCPU = l.cpu[s]
-		}
-		if first || l.mem[s] < l.sum.MinMem {
-			l.sum.MinMem = l.mem[s]
-		}
-		first = false
+		sum.Start, sum.End = times[0], times[m]-1
 	}
-	l.sum.Start = l.times[0]
-	l.sum.End = l.times[len(l.times)-1] - 1
+	l.sum = sum
 }

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -177,6 +178,89 @@ func TestLedgerMaxUsageAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("MaxUsage allocated %.1f objects per call, want 0", allocs)
 	}
+}
+
+// TestLedgerMutateAllocFree pins the mutation contract: once a ledger's
+// slices have grown to a working size, adding, truncating and removing a
+// reservation allocates nothing.
+func TestLedgerMutateAllocFree(t *testing.T) {
+	l, fresh := ledgerFixture(64, 1)
+	mutate := func() {
+		l.Add(1000, fresh[0])
+		l.Truncate(1000, fresh[0].Interval.Start+fresh[0].Interval.Len()/2)
+		l.Remove(1000)
+	}
+	mutate() // warm-up: grow the slices and the map to size k+1
+	if allocs := testing.AllocsPerRun(100, mutate); allocs != 0 {
+		t.Fatalf("Add+Truncate+Remove allocated %.1f objects per round, want 0", allocs)
+	}
+}
+
+// ledgerFixture returns a ledger holding k residents (ids 1..k) and n
+// further reservations to mutate it with. Residents overlap heavily, as
+// long-lived VMs on a dense host do: each starts in the first 200
+// minutes and lasts up to 400.
+func ledgerFixture(k, n int) (*Ledger, []Reservation) {
+	rng := rand.New(rand.NewSource(int64(k)))
+	draw := func() Reservation {
+		start := 1 + rng.Intn(200)
+		return Reservation{
+			Interval: Interval{Start: start, End: start + 1 + rng.Intn(400)},
+			CPU:      float64(1 + rng.Intn(4)),
+			Mem:      []float64{1.7, 17.1, 34.2, 68.4}[rng.Intn(4)],
+		}
+	}
+	l := NewLedger()
+	for id := 1; id <= k; id++ {
+		l.Add(id, draw())
+	}
+	fresh := make([]Reservation, n)
+	for i := range fresh {
+		fresh[i] = draw()
+	}
+	return l, fresh
+}
+
+// benchLedger times op at ledger sizes k. Rounds alternate an untimed
+// setup and a timed op over the same chunk of k/8 (at least 8) fresh
+// ids k+1…, so the ledger stays within k and k+k/8 residents.
+func benchLedger(b *testing.B, setup, op func(l *Ledger, id int, r Reservation)) {
+	for _, k := range []int{16, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			l, fresh := ledgerFixture(k, max(8, k/8))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(fresh) {
+				n := min(len(fresh), b.N-done)
+				b.StopTimer()
+				for i, r := range fresh[:n] {
+					setup(l, k+1+i, r)
+				}
+				b.StartTimer()
+				for i, r := range fresh[:n] {
+					op(l, k+1+i, r)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkLedgerAdd(b *testing.B) {
+	benchLedger(b,
+		func(l *Ledger, id int, _ Reservation) { l.Remove(id) },
+		func(l *Ledger, id int, r Reservation) { l.Add(id, r) })
+}
+
+func BenchmarkLedgerRemove(b *testing.B) {
+	benchLedger(b,
+		func(l *Ledger, id int, r Reservation) { l.Add(id, r) },
+		func(l *Ledger, id int, _ Reservation) { l.Remove(id) })
+}
+
+func BenchmarkLedgerTruncate(b *testing.B) {
+	benchLedger(b,
+		func(l *Ledger, id int, r Reservation) { l.Add(id, r) },
+		func(l *Ledger, id int, r Reservation) { l.Truncate(id, r.Interval.Start+r.Interval.Len()/2) })
 }
 
 func randomKey(rng *rand.Rand, m map[int]Reservation) int {
