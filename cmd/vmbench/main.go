@@ -68,7 +68,7 @@ type Result struct {
 	AdmitChunk       int     `json:"admitChunk"`
 	AdmissionsPerSec float64 `json:"admissionsPerSec"`
 
-	// Admission throughput against a real fsync-on binary journal with
+	// Admission throughput against a real fsync-on journal with
 	// concurrent single-admission clients: the group-commit number.
 	GroupAdmitOps          int     `json:"groupAdmitOps"`
 	GroupAdmitClients      int     `json:"groupAdmitClients"`
@@ -267,7 +267,7 @@ func benchAdmissions(ctx context.Context, n, chunk, parallel int, res *Result) e
 }
 
 // benchGroupCommit measures durable admissions/sec: concurrent clients
-// each admitting one VM at a time against a binary journal with fsync
+// each admitting one VM at a time against a journal with fsync
 // ON. Group commit shares each fsync across the batches in flight, so
 // this number tracks the journal's real throughput ceiling.
 func benchGroupCommit(ctx context.Context, n, clients, parallel int, res *Result) error {
@@ -282,7 +282,6 @@ func benchGroupCommit(ctx context.Context, n, clients, parallel int, res *Result
 		Parallelism:   parallel,
 		Dir:           dir,
 		SnapshotEvery: -1,
-		JournalFormat: cluster.JournalFormatBinary,
 	})
 	if err != nil {
 		return err

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -42,6 +44,21 @@ func newShard(t *testing.T, firstServerID int) string {
 	srv := httptest.NewServer(clusterhttp.NewHandler(c))
 	t.Cleanup(srv.Close)
 	return srv.URL
+}
+
+// writeTopology writes an epoch-1 topology file over the given shards
+// and returns its path.
+func writeTopology(t *testing.T, shards ...api.TopologyShard) string {
+	t.Helper()
+	b, err := json.Marshal(api.Topology{Epoch: 1, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "topology.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // syncBuffer is an io.Writer the daemon goroutine writes while the test
@@ -122,8 +139,9 @@ func TestRunStartupShutdown(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
-			"-shard", "a=" + shards["a"],
-			"-shard", "b=" + shards["b"],
+			"-topology", writeTopology(t,
+				api.TopologyShard{Name: "a", URL: shards["a"]},
+				api.TopologyShard{Name: "b", URL: shards["b"]}),
 		}, out)
 	}()
 	base := waitRouting(t, out)
@@ -216,16 +234,24 @@ func TestRunVersion(t *testing.T) {
 	}
 }
 
-// TestRunBadFlags: a gate without shards, or with malformed targets, is
-// a startup error, not a mute daemon.
+// TestRunBadFlags: a gate without shards, or with a malformed topology,
+// is a startup error, not a mute daemon.
 func TestRunBadFlags(t *testing.T) {
 	if err := run(context.Background(), nil, io.Discard); err == nil {
 		t.Error("no shards should error")
 	}
-	if err := run(context.Background(), []string{"-shard", "a=http://x", "-shard", "a=http://y"}, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-topology", filepath.Join(t.TempDir(), "missing.json")}, io.Discard); err == nil {
+		t.Error("missing topology file should error")
+	}
+	dup := writeTopology(t, api.TopologyShard{Name: "a", URL: "http://x"}, api.TopologyShard{Name: "a", URL: "http://y"})
+	if err := run(context.Background(), []string{"-topology", dup}, io.Discard); err == nil {
 		t.Error("duplicate shard names should error")
 	}
-	if err := run(context.Background(), []string{"-shard", "http://x", "-log-level", "nope"}, io.Discard); err == nil {
+	one := writeTopology(t, api.TopologyShard{Name: "a", URL: "http://x"})
+	if err := run(context.Background(), []string{"-topology", one, "-log-level", "nope"}, io.Discard); err == nil {
 		t.Error("bad log level should error")
+	}
+	if err := run(context.Background(), []string{"-shard", "a=http://x"}, io.Discard); err == nil {
+		t.Error("the removed -shard flag should error")
 	}
 }

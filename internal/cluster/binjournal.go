@@ -9,18 +9,17 @@ import (
 	"vmalloc/internal/model"
 )
 
-// Binary journal format, version 1.
+// Binary journal format, version 1 — the journal's only codec.
 //
-// The file opens with the 6-byte magic "\x00vmjl1" (the leading NUL can
-// never begin a JSON journal, so the two formats are self-describing and
-// a directory written by either codec replays under either
-// configuration). After the magic the file is a sequence of frames:
+// A non-empty file opens with the 6-byte magic "\x00vmjl1" (the leading
+// NUL can never begin a journal written by the retired JSON codec, so
+// such a file is recognised and refused). After the magic the file is a
+// sequence of frames:
 //
 //	u32le payload length | u32le CRC-32 (IEEE) of payload | payload
 //
 // Payloads are varint-packed records (see encodeBinaryRecord). Framing
-// gives the reader the same recovery taxonomy as the JSON codec's
-// newline framing:
+// gives the reader its recovery taxonomy:
 //
 //   - a frame that runs past EOF, or whose final-frame CRC mismatches,
 //     is a torn tail — an interrupted write — and is truncated away;
@@ -38,7 +37,7 @@ var binMagic = []byte{0x00, 'v', 'm', 'j', 'l', binJournalVersion}
 // prefix, not data.
 const maxBinRecordLen = 1 << 20
 
-// Binary op codes (the JSON codec uses the op strings).
+// Binary op codes for the in-memory op strings.
 const (
 	binOpAdmit   = 1
 	binOpRelease = 2
@@ -205,7 +204,7 @@ func decodeBinaryRecord(payload []byte) (record, error) {
 
 // readBinaryRecords parses a binary journal body (b starts with the
 // magic), returning the clean records and the byte offset up to which
-// the file is clean, exactly like the JSON reader.
+// the file is clean.
 func readBinaryRecords(b []byte) ([]record, int64, error) {
 	var recs []record
 	off := len(binMagic)

@@ -1,14 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -31,13 +28,13 @@ func binTestRecords() []record {
 	}
 }
 
-func encodeBinLog(t *testing.T, recs []record) []byte {
-	t.Helper()
+func encodeBinLog(tb testing.TB, recs []record) []byte {
+	tb.Helper()
 	buf := append([]byte{}, binMagic...)
 	var err error
 	for _, r := range recs {
 		if buf, err = appendBinaryFrame(buf, r); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return buf
@@ -136,156 +133,6 @@ func appendRawFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// TestJournalFormatUpgradeAtCompaction pins the upgrade path: a
-// directory written by the JSON codec, opened with the binary format
-// configured, keeps appending JSON until a snapshot empties the log —
-// then the rewritten log is binary, and every digest along the way is
-// stable.
-func TestJournalFormatUpgradeAtCompaction(t *testing.T) {
-	src := t.TempDir()
-	jsonCfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: src, SnapshotEvery: -1, DisableFsync: true}
-	c := mustOpenTB(t, jsonCfg)
-	if _, err := c.Admit(context.Background(), []VMRequest{
-		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30},
-		{ID: 2, Demand: model.Resources{CPU: 1, Mem: 2}, Start: 2, DurationMinutes: 30},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Capture the JSON log before Close compacts it away, and replay it
-	// into a fresh directory under the binary configuration.
-	jb, err := os.ReadFile(filepath.Join(src, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(jb) == 0 || jb[0] == binMagic[0] {
-		t.Fatalf("setup produced a non-JSON journal (%d bytes)", len(jb))
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, journalName), jb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	binCfg := jsonCfg
-	binCfg.Dir = dir
-	binCfg.JournalFormat = JournalFormatBinary
-	c2 := mustOpenTB(t, binCfg)
-	got, err := c2.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("binary-configured open of JSON log: digest %s, want %s", got, want)
-	}
-	// New appends still extend the JSON log: the format flips only when
-	// compaction rewrites it from empty.
-	if _, err := c2.Admit(context.Background(), []VMRequest{
-		{ID: 3, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 3, DurationMinutes: 10},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	jb, err = os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(jb, binMagic) {
-		t.Fatal("journal flipped to binary before compaction")
-	}
-	if err := c2.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	jb, err = os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jb, binMagic) {
-		t.Fatalf("post-compaction journal = %q, want bare binary magic", jb)
-	}
-	if _, err := c2.Admit(context.Background(), []VMRequest{
-		{ID: 4, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 4, DurationMinutes: 10},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want, err = c2.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c3 := mustOpenTB(t, binCfg)
-	got, err = c3.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("binary replay digest %s, want %s", got, want)
-	}
-}
-
-// TestBinaryJournalDowngrade checks the reverse trip: a binary log
-// opened under the default JSON configuration replays and, after
-// compaction, returns to JSON.
-func TestBinaryJournalDowngrade(t *testing.T) {
-	dir := t.TempDir()
-	binCfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-		DisableFsync: true, JournalFormat: JournalFormatBinary}
-	c := mustOpenTB(t, binCfg)
-	if _, err := c.Admit(context.Background(), []VMRequest{
-		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	jb, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(jb, binMagic) {
-		t.Fatal("setup produced a non-binary journal")
-	}
-
-	jsonCfg := binCfg
-	jsonCfg.JournalFormat = JournalFormatJSON
-	c2 := mustOpenTB(t, jsonCfg)
-	got, err := c2.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("JSON-configured open of binary log: digest %s, want %s", got, want)
-	}
-	if err := c2.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	jb, err = os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jb) != 0 {
-		t.Fatalf("post-compaction JSON journal holds %d bytes, want empty", len(jb))
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGroupCommitCounters drives sequential admits through a real
 // fsync-on journal and checks the group-commit accounting: every batch
 // commit is acknowledged by a flush, and the flush count never exceeds
@@ -295,8 +142,7 @@ func TestBinaryJournalDowngrade(t *testing.T) {
 // TestGroupCommitCrashImage and the vmbench group benchmark.)
 func TestGroupCommitCounters(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpenTB(t, Config{Servers: testServers(8), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-		JournalFormat: JournalFormatBinary})
+	c := mustOpen(t, Config{Servers: testServers(8), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
 	const n = 24
 	for i := 0; i < n; i++ {
 		if _, err := c.Admit(context.Background(), []VMRequest{

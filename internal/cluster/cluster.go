@@ -13,8 +13,7 @@
 // sequentially in that order.
 //
 // Durability is an append-only journal plus periodic snapshots (see
-// journal.go; the log is JSON lines or a framed binary codec, selected
-// by Config.JournalFormat and switched at compaction). Appended records
+// journal.go; the log is a CRC-framed binary codec). Appended records
 // are made durable by group commit: a batch's fsync wait happens off the
 // dispatcher goroutine, so the next batch's candidate scan overlaps it
 // and concurrent batches share one disk flush; an admission is
@@ -167,13 +166,6 @@ type Config struct {
 	// are under test and the physical durability of a throwaway directory
 	// is not.
 	DisableFsync bool
-	// JournalFormat selects the on-disk journal codec: JournalFormatJSON
-	// (the default when empty — one readable JSON record per line) or
-	// JournalFormatBinary (framed varint records with CRC-32 checksums;
-	// smaller and faster to append). Either codec replays regardless of
-	// this setting — the log is self-describing — and an existing log
-	// switches to the configured codec at its next snapshot compaction.
-	JournalFormat string
 	// DisableFeasibilityIndex turns off the spare-capacity index that
 	// skips provably-infeasible servers during candidate scans, forcing
 	// full fleet scans. Placements are byte-identical either way (the
@@ -341,14 +333,6 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
-	switch cfg.JournalFormat {
-	case "":
-		cfg.JournalFormat = JournalFormatJSON
-	case JournalFormatJSON, JournalFormatBinary:
-	default:
-		return nil, fmt.Errorf("cluster: unknown journal format %q (want %q or %q)",
-			cfg.JournalFormat, JournalFormatJSON, JournalFormatBinary)
-	}
 	c := &Cluster{
 		cfg:     cfg,
 		policy:  cfg.Policy,
@@ -378,7 +362,7 @@ func Open(cfg Config) (*Cluster, error) {
 // restore loads snapshot + journal from cfg.Dir and replays. Durable
 // state that does not restore cleanly is reported as ErrCorruptJournal.
 func (c *Cluster) restore() error {
-	jr, snap, recs, err := openJournal(c.cfg.Dir, c.cfg.DisableFsync, c.cfg.JournalFormat == JournalFormatBinary)
+	jr, snap, recs, err := openJournal(c.cfg.Dir, c.cfg.DisableFsync)
 	if err != nil {
 		return err
 	}
@@ -399,6 +383,11 @@ func (c *Cluster) restore() error {
 	for _, r := range recs {
 		if r.Seq <= lastSeq {
 			continue // covered by the snapshot (compaction was interrupted)
+		}
+		if r.Seq != lastSeq+1 {
+			jr.close()
+			return fmt.Errorf("%w: journal jumps from seq %d to %d; the records between are lost",
+				ErrCorruptJournal, lastSeq, r.Seq)
 		}
 		if err := c.apply(r); err != nil {
 			jr.close()

@@ -35,7 +35,7 @@ func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptO
 	cfg.Servers = testServers(8)
 	cfg.IdleTimeout = 3
 	cfg.MigrationCostPerGB = 0.5
-	c := mustOpenTB(t, cfg)
+	c := mustOpen(t, cfg)
 	defer func() {
 		if err := c.Close(); err != nil {
 			t.Fatalf("seed %d: close: %v", seed, err)
@@ -179,49 +179,46 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 	}
 }
 
-// TestDeterminismJournalFormats extends the suite across the
-// persistence axis: the same script against a JSON journal and a binary
-// journal must match the volatile run's transcript and digest, and each
-// journaled directory must replay to the same digest after close.
-func TestDeterminismJournalFormats(t *testing.T) {
+// TestDeterminismJournalReplay extends the suite across the
+// persistence axis: the same script against a journal must match the
+// volatile run's transcript and digest, and the journaled directory must
+// replay to the same digest after close.
+func TestDeterminismJournalReplay(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		base := runScript(t, Config{Parallelism: 1}, seed)
-		for _, format := range []string{JournalFormatJSON, JournalFormatBinary} {
-			dir := t.TempDir()
-			replayDir := t.TempDir()
-			cfg := Config{Parallelism: 1, Dir: dir, SnapshotEvery: -1, DisableFsync: true, JournalFormat: format}
-			got := runScript(t, cfg, seed, func() { copyJournalDir(t, dir, replayDir) })
-			if got.transcript != base.transcript {
-				t.Fatalf("seed %d format %s: transcript diverged from volatile run:\n%s",
-					seed, format, firstDiff(base.transcript, got.transcript))
+		dir := t.TempDir()
+		replayDir := t.TempDir()
+		cfg := Config{Parallelism: 1, Dir: dir, SnapshotEvery: -1, DisableFsync: true}
+		got := runScript(t, cfg, seed, func() { copyJournalDir(t, dir, replayDir) })
+		if got.transcript != base.transcript {
+			t.Fatalf("seed %d: transcript diverged from volatile run:\n%s",
+				seed, firstDiff(base.transcript, got.transcript))
+		}
+		if got.digest != base.digest {
+			t.Fatalf("seed %d: digest = %s, volatile = %s", seed, got.digest, base.digest)
+		}
+		// Replay both directories: the snapshot-compacted one (clean
+		// close) and the pre-close copy whose full record log must
+		// rebuild the same state.
+		cfg.Servers = testServers(8)
+		cfg.IdleTimeout = 3
+		cfg.MigrationCostPerGB = 0.5
+		for _, rd := range []string{dir, replayDir} {
+			rcfg := cfg
+			rcfg.Dir = rd
+			c, err := Open(rcfg)
+			if err != nil {
+				t.Fatalf("seed %d: reopen %s: %v", seed, rd, err)
 			}
-			if got.digest != base.digest {
-				t.Fatalf("seed %d format %s: digest = %s, volatile = %s", seed, format, got.digest, base.digest)
+			replayed, err := c.StateDigest()
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Replay both directories: the snapshot-compacted one (clean
-			// close) and the pre-close copy whose full record log must
-			// rebuild the same state.
-			cfg.Servers = testServers(8)
-			cfg.IdleTimeout = 3
-			cfg.MigrationCostPerGB = 0.5
-			for _, rd := range []string{dir, replayDir} {
-				rcfg := cfg
-				rcfg.Dir = rd
-				c, err := Open(rcfg)
-				if err != nil {
-					t.Fatalf("seed %d format %s: reopen %s: %v", seed, format, rd, err)
-				}
-				replayed, err := c.StateDigest()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if replayed != base.digest {
-					t.Fatalf("seed %d format %s: replayed digest = %s, volatile = %s",
-						seed, format, replayed, base.digest)
-				}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if replayed != base.digest {
+				t.Fatalf("seed %d: replayed digest = %s, volatile = %s", seed, replayed, base.digest)
 			}
 		}
 	}

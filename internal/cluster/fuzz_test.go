@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,7 +17,7 @@ import (
 func realJournal(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
+	c := mustOpen(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
 	reqs := []VMRequest{
 		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 10},
 		{ID: 2, Demand: model.Resources{CPU: 8, Mem: 8}, Start: 2, DurationMinutes: 4},
@@ -52,7 +50,7 @@ func realJournal(tb testing.TB) []byte {
 func realMigrationJournal(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1, MigrationCostPerGB: 0.5})
+	c := mustOpen(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1, MigrationCostPerGB: 0.5})
 	reqs := []VMRequest{
 		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 20},
 		{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 30},
@@ -77,66 +75,85 @@ func realMigrationJournal(tb testing.TB) []byte {
 	return data
 }
 
-func mustOpenTB(tb testing.TB, cfg Config) *Cluster {
+// withFrames appends recs to a genuine journal, numbering them to
+// continue its sequence so replay reaches their content.
+func withFrames(tb testing.TB, log []byte, recs ...record) []byte {
 	tb.Helper()
-	c, err := Open(cfg)
-	if err != nil {
-		tb.Fatal(err)
+	prev, _, err := parseJournal(log)
+	if err != nil || len(prev) == 0 {
+		tb.Fatalf("base journal: %d records, err %v", len(prev), err)
 	}
-	return c
+	out := append([]byte{}, log...)
+	for i, r := range recs {
+		r.Seq = prev[len(prev)-1].Seq + int64(i) + 1
+		if out, err = appendBinaryFrame(out, r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
 }
 
 // FuzzJournalReplay feeds arbitrary bytes to the journal reopen path:
-// whatever the file holds, Open must either restore a consistent state
-// (proved by a digest-stable close/reopen round trip) or refuse with
-// ErrCorruptJournal — never panic, never silently half-restore.
+// whatever the file holds — frames, torn tails, flipped length prefixes,
+// a JSON-era log or garbage — Open must either restore a consistent
+// state (proved by a digest-stable close/reopen round trip) or refuse
+// with ErrCorruptJournal. Never a panic, never a partial fleet.
 func FuzzJournalReplay(f *testing.F) {
 	base := realJournal(f)
 	f.Add(base)
 	f.Add([]byte{})
-	f.Add([]byte("\n\n\n"))
-	// Torn tail: the final record loses its last bytes (and its newline) —
-	// an interrupted write, which reopen must truncate away, not refuse.
-	if len(base) > 7 {
-		f.Add(base[:len(base)-7])
+	f.Add(append([]byte{}, binMagic...)) // bare magic: an empty log
+	f.Add([]byte{0x00, 'v', 'm', 'j', 'l', '9'})
+	// Torn tails at several depths: interrupted writes, which reopen must
+	// truncate away, not refuse.
+	for _, cut := range []int{1, 7, 13} {
+		f.Add(base[:len(base)-cut])
 	}
-	// Mid-log corruption: garbage with history after it — lost records,
-	// which reopen must refuse.
-	if i := bytes.IndexByte(base, '\n'); i >= 0 {
-		mut := append([]byte{}, base[:i+1]...)
-		mut = append(mut, []byte("{\"seq\":GARBAGE\n")...)
-		mut = append(mut, base[i+1:]...)
-		f.Add(mut)
-	}
+	// A flipped length-prefix byte on the first frame: the framing is
+	// destroyed, which must read as corruption.
+	mut := append([]byte{}, base...)
+	mut[len(binMagic)+2] ^= 0x40
+	f.Add(mut)
+	// A flipped payload byte mid-log: lost history.
+	mid := append([]byte{}, base...)
+	mid[len(mid)/2] ^= 0x01
+	f.Add(mid)
+	// Mid-log garbage: a correctly-framed record followed by more data.
+	f.Add(append(appendRawFrame(append([]byte{}, binMagic...), []byte("XXXX")), base[len(binMagic):]...))
+	// A journal left by the retired JSON codec.
+	f.Add([]byte(`{"seq":1,"op":"tick","t":5}` + "\n"))
 	// Duplicate departure: a second release of a VM the log already
 	// released — replay must refuse rather than corrupt the ledgers.
-	f.Add(append(append([]byte{}, base...),
-		[]byte(`{"seq":99,"op":"release","t":9,"id":1}`+"\n")...))
+	f.Add(withFrames(f, base, record{Op: opRelease, T: 9, ID: 1}))
 	// Admit with an interval that fails validation (end before start).
-	f.Add([]byte(`{"seq":1,"op":"admit","t":2,"vm":{"id":9,"demand":{"cpu":1,"mem":1},"start":5,"end":3},"server":0,"start":5}` + "\n"))
+	f.Add(encodeBinLog(f, []record{{Seq: 1, Op: opAdmit, T: 2, Server: 0, Start: 5,
+		VM: &model.VM{ID: 9, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 5, End: 3}}}))
 	// Admit whose departure event time (end+1) would overflow MaxInt.
-	f.Add([]byte(fmt.Sprintf(`{"seq":1,"op":"admit","t":1,"vm":{"id":9,"demand":{"cpu":1,"mem":1},"start":%d,"end":%d},"server":0,"start":%d}`+"\n",
-		math.MaxInt-1, math.MaxInt, math.MaxInt-1)))
-	// A migrate of a VM that was never admitted: opMigrate is a known op
-	// now, so replay must refuse the inconsistent history, not panic.
-	f.Add([]byte(`{"seq":1,"op":"migrate","t":3}` + "\n" + `{"seq":2,"op":"tick","t":4}` + "\n"))
+	f.Add(encodeBinLog(f, []record{{Seq: 1, Op: opAdmit, T: 1, Server: 0, Start: math.MaxInt - 1,
+		VM: &model.VM{ID: 9, Demand: model.Resources{CPU: 1, Mem: 1}, Start: math.MaxInt - 1, End: math.MaxInt}}}))
+	// A migrate of a VM that was never admitted: replay must refuse the
+	// inconsistent history, not panic.
+	f.Add(encodeBinLog(f, []record{{Seq: 1, Op: opMigrate, T: 3}, {Seq: 2, Op: opTick, T: 4}}))
 	// A genuine history ending in a live migration must replay cleanly.
 	migBase := realMigrationJournal(f)
 	f.Add(migBase)
+	f.Add(migBase[:len(migBase)-11])
 	// The same history with a second migrate whose recorded handoff cannot
 	// reproduce: replay must refuse the cross-check, never half-apply.
-	f.Add(append(append([]byte{}, migBase...),
-		[]byte(`{"seq":99,"op":"migrate","t":6,"id":1,"server":2,"from":0,"handoff":3}`+"\n")...))
+	f.Add(withFrames(f, migBase, record{Op: opMigrate, T: 6, ID: 1, Server: 2, From: 0, Handoff: 3}))
 	// A migrate onto an out-of-range server index.
-	f.Add(append(append([]byte{}, migBase...),
-		[]byte(`{"seq":99,"op":"migrate","t":6,"id":1,"server":40,"from":0,"handoff":7}`+"\n")...))
+	f.Add(withFrames(f, migBase, record{Op: opMigrate, T: 6, ID: 1, Server: 40, From: 0, Handoff: 7}))
+	// A sequence gap: history between the records is missing.
+	gap := append([]byte{}, base...)
+	gap, _ = appendBinaryFrame(gap, record{Seq: 99, Op: opTick, T: 12})
+	f.Add(gap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, journalName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1}
+		cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1, MigrationCostPerGB: 0.5}
 		c, err := Open(cfg)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptJournal) {

@@ -20,38 +20,34 @@ import (
 //
 //	snapshot.json  — the last full FleetSnapshot plus the journal sequence
 //	                 number it covers (LastSeq)
-//	journal.jsonl  — every mutation since, in one of two self-describing
-//	                 codecs: JSON (one record per line) or the framed
-//	                 binary format (see binjournal.go; the file then opens
-//	                 with the "\x00vmjl1" magic). Records with seq ≤
-//	                 LastSeq are stale survivors of a crash between
-//	                 snapshot rename and journal truncation and are
-//	                 skipped on replay.
+//	journal.jsonl  — every mutation since, in the framed binary codec of
+//	                 binjournal.go (the name is historical: it predates
+//	                 the binary codec, and tooling stats this path).
+//	                 Records with seq ≤ LastSeq are stale survivors of a
+//	                 crash between snapshot rename and journal truncation
+//	                 and are skipped on replay; the rest must continue
+//	                 LastSeq without a gap.
 //
-// The codec an *existing* log was written in always replays — the reader
-// sniffs the magic, so a JSON log opened under Config JournalFormat
-// "binary" (or vice versa) restores normally and keeps appending in its
-// current format. The configured format takes over at the next snapshot
-// compaction, when the log is rewritten from empty anyway; that is the
-// whole upgrade path, and downgrading works the same way.
+// An empty journal is zero bytes: the "\x00vmjl1" magic is written
+// together with the first frame after open or compaction, never on its
+// own, so a compacted log is empty again. A file holding only the magic
+// (a first append torn after it) is a valid empty log.
 //
-// A record survives a process crash once its framing reaches the file
-// (the JSON record's newline, the binary frame's full length);
-// durability against power loss or a kernel crash additionally requires
-// the fsync the cluster issues (via commit) for every acknowledged
-// mutation. A torn tail — a truncated final record or frame — is dropped
-// on open and the file is truncated back to the last clean record.
-// Corruption anywhere before the tail is an error — it means lost
+// A non-empty journal that does not open with NUL was written by the
+// retired JSON codec and is refused with ErrCorruptJournal. The upgrade
+// path is to stop the old daemon cleanly before starting this one: its
+// shutdown writes a final snapshot and empties the journal.
+//
+// A record survives a process crash once its frame reaches the file in
+// full; durability against power loss or a kernel crash additionally
+// requires the fsync the cluster issues (via commit) for every
+// acknowledged mutation. A torn tail — a truncated final frame — is
+// dropped on open and the file is truncated back to the last clean
+// frame. Corruption anywhere before the tail is an error — it means lost
 // history, not an interrupted write — and open refuses the directory.
 const (
 	journalName  = "journal.jsonl"
 	snapshotName = "snapshot.json"
-)
-
-// Journal formats (Config.JournalFormat).
-const (
-	JournalFormatJSON   = "json"
-	JournalFormatBinary = "binary"
 )
 
 // Journal operations.
@@ -69,23 +65,23 @@ const (
 // the recorded Start cross-checks it; Migrate re-derives the handoff
 // minute, cross-checked against Handoff).
 type record struct {
-	Seq    int64     `json:"seq"`
-	Op     string    `json:"op"`
-	T      int       `json:"t"`
-	VM     *model.VM `json:"vm,omitempty"`
-	Server int       `json:"server,omitempty"` // admit/migrate/adopt: target server index
-	Start  int       `json:"start,omitempty"`  // admit/adopt: actual start minute
-	ID     int       `json:"id,omitempty"`     // release/migrate: the VM
+	Seq    int64
+	Op     string
+	T      int
+	VM     *model.VM
+	Server int // admit/migrate/adopt: target server index
+	Start  int // admit/adopt: actual start minute
+	ID     int // release/migrate: the VM
 	// Migrate fields. From is the source server index and Handoff the
 	// first minute the target hosts the VM (both cross-checked on replay;
 	// adopt records carry Handoff too); Policy, Saved and Cost carry the
 	// planner's outcome so the migration history — not just the fleet
 	// state — replays byte-identically.
-	From    int     `json:"from,omitempty"`
-	Handoff int     `json:"handoff,omitempty"`
-	Policy  string  `json:"policy,omitempty"`
-	Saved   float64 `json:"saved,omitempty"`
-	Cost    float64 `json:"cost,omitempty"`
+	From    int
+	Handoff int
+	Policy  string
+	Saved   float64
+	Cost    float64
 }
 
 // snapshotFile is the serialised snapshot.json.
@@ -110,9 +106,8 @@ type journal struct {
 	seq    int64
 	nosync bool // Config.DisableFsync: skip fsyncs (UNSAFE, test-only)
 
-	binary     bool   // the log's current on-disk codec
-	wantBinary bool   // the configured codec, adopted at compaction
-	enc        []byte // reusable append encode buffer
+	headed bool   // the file already holds binMagic
+	enc    []byte // reusable append encode buffer
 
 	// Group commit. commit registers a waiter and wakes the committer
 	// goroutine; the committer snapshots the waiter list, issues one
@@ -129,10 +124,8 @@ type journal struct {
 
 // openJournal loads the durable state under dir: the snapshot (if any),
 // every clean journal record, and an append handle positioned after the
-// last clean record (a torn tail is truncated away first). wantBinary is
-// the configured codec; an empty (or fully-torn) log adopts it
-// immediately, a non-empty log keeps its own codec until compaction.
-func openJournal(dir string, nosync, wantBinary bool) (*journal, *snapshotFile, []record, error) {
+// last clean record (a torn tail is truncated away first).
+func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("cluster: journal dir: %w", err)
 	}
@@ -169,119 +162,61 @@ func openJournal(dir string, nosync, wantBinary bool) (*journal, *snapshotFile, 
 		return nil, nil, nil, err
 	}
 	j := &journal{
-		dir:        dir,
-		f:          f,
-		nosync:     nosync,
-		wantBinary: wantBinary,
-		kick:       make(chan struct{}, 1),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	switch {
-	case clean >= int64(len(binMagic)) && len(jb) > 0 && jb[0] == binMagic[0]:
-		j.binary = true
-	case clean > 0:
-		j.binary = false // clean JSON records survive
-	default:
-		// Empty log (or one truncated back to nothing): nothing is
-		// written in either codec yet, so adopt the configured one.
-		j.binary = wantBinary
-		if j.binary {
-			if _, err := f.Write(binMagic); err != nil {
-				f.Close()
-				return nil, nil, nil, fmt.Errorf("cluster: journal format header: %w", err)
-			}
-		}
+		dir:    dir,
+		f:      f,
+		nosync: nosync,
+		headed: clean > 0,
+		kick:   make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go j.committer()
 	return j, snap, recs, nil
 }
 
-// readRecords parses the journal file at path in whichever codec it was
-// written, returning every clean record and the byte offset up to which
-// the file is clean.
-func readRecords(path string) ([]record, int64, error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return parseJournal(b)
-}
-
-// parseJournal sniffs the codec (binary logs open with binMagic, whose
-// leading NUL no JSON log can start with) and parses accordingly. A
-// final record that fails to parse or lacks its framing is an
-// interrupted write and is excluded; invalid records with history after
-// them are corruption and an error.
+// parseJournal parses a journal file's bytes, returning every clean
+// record and the byte offset up to which the file is clean. A final
+// frame that lacks its full length or checksum is an interrupted write
+// and is excluded; invalid frames with history after them are
+// corruption and an error.
 func parseJournal(b []byte) ([]record, int64, error) {
 	if len(b) == 0 {
 		return nil, 0, nil
 	}
-	if b[0] == binMagic[0] {
-		if len(b) < len(binMagic) {
-			if bytes.HasPrefix(binMagic, b) {
-				return nil, 0, nil // torn magic: an interrupted first write
-			}
-			return nil, 0, fmt.Errorf("%w: unrecognised journal header", ErrCorruptJournal)
-		}
-		if !bytes.Equal(b[:len(binMagic)], binMagic) {
-			return nil, 0, fmt.Errorf("%w: unsupported binary journal version %q", ErrCorruptJournal, b[:len(binMagic)])
-		}
-		return readBinaryRecords(b)
+	if b[0] != binMagic[0] {
+		return nil, 0, fmt.Errorf("%w: %s was written by the retired JSON journal codec; "+
+			"stop the old daemon cleanly (SIGTERM writes a final snapshot and empties the journal), then start this one",
+			ErrCorruptJournal, journalName)
 	}
-	return readJSONRecords(b)
+	if len(b) < len(binMagic) {
+		if bytes.HasPrefix(binMagic, b) {
+			return nil, 0, nil // torn magic: an interrupted first write
+		}
+		return nil, 0, fmt.Errorf("%w: unrecognised journal header", ErrCorruptJournal)
+	}
+	if !bytes.Equal(b[:len(binMagic)], binMagic) {
+		return nil, 0, fmt.Errorf("%w: unsupported binary journal version %q", ErrCorruptJournal, b[:len(binMagic)])
+	}
+	return readBinaryRecords(b)
 }
 
-// readJSONRecords parses the newline-framed JSON codec.
-func readJSONRecords(b []byte) ([]record, int64, error) {
-	var recs []record
-	var clean int64
-	off := 0
-	for off < len(b) {
-		nl := bytes.IndexByte(b[off:], '\n')
-		if nl < 0 {
-			break // unterminated tail: the write was interrupted
-		}
-		line := b[off : off+nl]
-		next := off + nl + 1
-		if len(bytes.TrimSpace(line)) > 0 {
-			var r record
-			if err := json.Unmarshal(line, &r); err != nil {
-				if len(bytes.TrimSpace(b[next:])) == 0 {
-					break // torn final record
-				}
-				return nil, 0, fmt.Errorf("%w: malformed record at byte %d: %v", ErrCorruptJournal, off, err)
-			}
-			recs = append(recs, r)
-		}
-		off = next
-		clean = int64(off)
-	}
-	return recs, clean, nil
-}
-
-// append journals one mutation, assigning it the next sequence number,
-// in the log's current codec.
+// append journals one mutation, assigning it the next sequence number.
+// The first frame of an empty log carries the magic in the same write,
+// so the file is never left holding a header alone by choice.
 func (j *journal) append(r record) error {
 	r.Seq = j.seq + 1
-	var err error
-	if j.binary {
-		j.enc, err = appendBinaryFrame(j.enc[:0], r)
-	} else {
-		var b []byte
-		if b, err = json.Marshal(r); err == nil {
-			j.enc = append(append(j.enc[:0], b...), '\n')
-		}
+	j.enc = j.enc[:0]
+	if !j.headed {
+		j.enc = append(j.enc, binMagic...)
 	}
-	if err != nil {
+	var err error
+	if j.enc, err = appendBinaryFrame(j.enc, r); err != nil {
 		return err
 	}
 	if _, err := j.f.Write(j.enc); err != nil {
 		return fmt.Errorf("cluster: journal append: %w", err)
 	}
+	j.headed = true
 	j.seq = r.Seq
 	return nil
 }
@@ -340,11 +275,12 @@ func (j *journal) flushGroup() {
 }
 
 // snapshot atomically replaces snapshot.json (write to a temp file, sync,
-// rename) and then truncates the journal: every record it held is covered
-// by the snapshot's LastSeq. A crash between the rename and the truncation
-// leaves stale records behind, which replay skips by sequence number.
-// Compaction is also where the configured journal format takes over: the
-// log restarts from empty, in the configured codec.
+// rename, sync the directory) and then truncates the journal: every
+// record it held is covered by the snapshot's LastSeq. The directory
+// sync orders the rename before the truncation on disk, so power loss
+// cannot keep the emptied log but lose the snapshot that covers it. A
+// crash between the rename and the truncation leaves stale records
+// behind, which replay skips by sequence number.
 func (j *journal) snapshot(s *snapshotFile) error {
 	s.LastSeq = j.seq
 	b, err := json.MarshalIndent(s, "", "  ")
@@ -372,21 +308,31 @@ func (j *journal) snapshot(s *snapshotFile) error {
 	if err := os.Rename(tmp, filepath.Join(j.dir, snapshotName)); err != nil {
 		return err
 	}
+	if !j.nosync {
+		if err := syncDir(j.dir); err != nil {
+			return fmt.Errorf("cluster: snapshot rename sync: %w", err)
+		}
+	}
 	// Compaction: the journal's records are all ≤ LastSeq now. The handle
 	// is in append mode, so subsequent writes land at the new end.
 	if err := j.f.Truncate(0); err != nil {
 		return fmt.Errorf("cluster: journal compaction: %w", err)
 	}
-	j.binary = j.wantBinary
-	if j.binary {
-		if _, err := j.f.Write(binMagic); err != nil {
-			// The log is empty, which is a valid JSON journal; stay on
-			// JSON until the next compaction retries the switch.
-			j.binary = false
-			return fmt.Errorf("cluster: journal format header: %w", err)
-		}
-	}
+	j.headed = false
 	return nil
+}
+
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (j *journal) close() error {

@@ -218,7 +218,7 @@ func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body 
 	// Stamp the newest topology epoch on every downstream call. The
 	// shards' passive fence ratchets on it, so the first request a newer
 	// topology sends a shard immunises that shard against stale writers
-	// (epoch 0 = unversioned -shard maps, which never stamp).
+	// (epoch 0 = unversioned NewMap maps, which never stamp).
 	sent := g.topo.Load().cur.Epoch()
 	if sent > 0 {
 		req.Header.Set(api.EpochHeader, strconv.FormatInt(sent, 10))
