@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -579,10 +580,9 @@ type batchItem struct {
 // processBatch normalises, orders and places one batch under the lock,
 // then releases the lock and waits for the group commit covering the
 // batch's journal records before acknowledging it (see the goroutine at
-// the end). Per-stage wall timings (queue wait, scan, commit, journal
-// append, the commit flush) are measured on the way and recorded —
-// together with the request id each call carried in — as
-// flight-recorder decisions.
+// the end). Each request's stage timings (queue wait, scan, commit,
+// journal append, the commit flush) are measured into its operation
+// event, which leaves through emitLocked once the flush completed.
 func (c *Cluster) processBatch(batch []*admitCall) {
 	c.mu.Lock()
 
@@ -601,9 +601,11 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 		now = 1 // the model's horizon starts at minute 1
 	}
 	var items []batchItem
+	// evs holds the batch's operation events; they are emitted together
+	// once the batch's fsync duration is known.
+	var evs []opEvent
 	total := 0
 	for _, call := range batch {
-		c.met.queueWaitSeconds.Observe(batchStart.Sub(call.enqueued).Seconds())
 		call.adms = make([]Admission, len(call.reqs))
 		total += len(call.reqs)
 		for k, req := range call.reqs {
@@ -615,23 +617,9 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 			}
 			// Normalisation rejects never reach the scan or the
 			// journal; their story ends here.
-			d := obs.Decision{
-				RequestID: call.reqID,
-				TraceID:   call.trace.TraceID,
-				Batch:     batchID,
-				Op:        obs.OpReject,
-				VM:        adm.ID,
-				Clock:     now,
-				Reason:    adm.Reason,
-				Stages: obs.StageTimings{
-					Decode:    call.decode,
-					QueueWait: batchStart.Sub(call.enqueued),
-				},
-			}
-			if c.rec != nil {
-				c.rec.Record(d)
-			}
-			c.emitStageSpans(call.trace, &d, call.enqueued, time.Time{}, time.Time{}, time.Time{}, time.Time{})
+			ev := call.event(batchID, batchStart, k)
+			ev.d.Op, ev.d.VM, ev.d.Clock, ev.d.Reason = obs.OpReject, adm.ID, now, adm.Reason
+			evs = append(evs, ev)
 		}
 	}
 	// Deterministic batch order: by start minute, then VM ID. Placing the
@@ -644,24 +632,6 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 		return items[a].vm.ID < items[b].vm.ID
 	})
 	stats := c.scan.NewStats()
-	// pend holds this batch's not-yet-recorded decisions: the batch
-	// fsync duration is only known after the loop, so journaled admits
-	// (journaled == true) are stamped with it and recorded at the end.
-	type pendDecision struct {
-		d         obs.Decision
-		journaled bool
-		// Span raw material: the trace context the call carried in and
-		// each timed stage's start instant (zero when it did not run).
-		trace     obs.TraceContext
-		enqueued  time.Time
-		scanT0    time.Time
-		commitT0  time.Time
-		journalT0 time.Time
-	}
-	var pend []pendDecision
-	// observe gates the per-item decision bookkeeping: both sinks are
-	// passive, so when neither is wired the loop skips the copies.
-	observe := c.rec != nil || c.cfg.Spans != nil
 	// shadow collects the champion's verdicts for the policy arena: every
 	// item that reached the candidate scan, in batch order, with the
 	// normalized VM exactly as the fleet saw it. Journal-broken skips are
@@ -673,69 +643,45 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 	placed := 0
 	for _, it := range items {
 		adm := &it.call.adms[it.pos]
-		d := obs.Decision{
-			RequestID: it.call.reqID,
-			TraceID:   it.call.trace.TraceID,
-			Batch:     batchID,
-			VM:        it.vm.ID,
-			Stages: obs.StageTimings{
-				Decode:    it.call.decode,
-				QueueWait: batchStart.Sub(it.call.enqueued),
-			},
-		}
+		ev := it.call.event(batchID, batchStart, it.pos)
+		ev.d.VM = it.vm.ID
 		if jerr != nil {
 			// The journal broke earlier in this batch: stop mutating so
 			// memory never runs ahead of the log by more than the single
 			// admission that broke it.
 			c.met.rejections++
 			adm.Reason = "journal broken; admission not attempted"
-			if observe {
-				d.Op, d.Clock, d.Reason = obs.OpReject, c.fleet.Now(), adm.Reason
-				pend = append(pend, pendDecision{d: d, trace: it.call.trace, enqueued: it.call.enqueued})
-			}
+			ev.d.Op, ev.d.Clock, ev.d.Reason = obs.OpReject, c.fleet.Now(), adm.Reason
+			evs = append(evs, ev)
 			continue
 		}
 		c.fleet.AdvanceTo(it.vm.Start)
 		candBefore, infBefore := stats.CandidatesEvaluated, stats.FeasibilityRejections
-		scanT0 := time.Now()
+		ev.scan = time.Now()
 		i, err := c.place(it.vm, stats)
-		d.Stages.Scan = time.Since(scanT0)
-		d.Candidates = stats.CandidatesEvaluated - candBefore
-		d.Infeasible = stats.FeasibilityRejections - infBefore
-		d.Clock = c.fleet.Now()
+		ev.d.Stages.Scan = time.Since(ev.scan)
+		ev.d.Candidates = stats.CandidatesEvaluated - candBefore
+		ev.d.Infeasible = stats.FeasibilityRejections - infBefore
+		ev.d.Clock = c.fleet.Now()
+		start := 0
+		if err == nil {
+			ev.commit = time.Now()
+			start, err = c.fleet.Commit(i, it.vm)
+			ev.d.Stages.Commit = time.Since(ev.commit)
+		}
 		if err != nil {
 			c.met.rejections++
 			adm.Reason = err.Error()
-			if observe {
-				d.Op, d.Reason = obs.OpReject, adm.Reason
-				pend = append(pend, pendDecision{d: d, trace: it.call.trace, enqueued: it.call.enqueued, scanT0: scanT0})
-			}
+			ev.d.Op, ev.d.Reason = obs.OpReject, adm.Reason
+			evs = append(evs, ev)
 			if c.cfg.Arena != nil {
 				shadow = append(shadow, arena.AdmitOutcome{RequestID: it.call.reqID, VM: it.vm})
 			}
 			continue
 		}
-		commitT0 := time.Now()
-		start, err := c.fleet.Commit(i, it.vm)
-		d.Stages.Commit = time.Since(commitT0)
-		if err != nil {
-			c.met.rejections++
-			adm.Reason = err.Error()
-			if observe {
-				d.Op, d.Reason = obs.OpReject, adm.Reason
-				pend = append(pend, pendDecision{d: d, trace: it.call.trace, enqueued: it.call.enqueued, scanT0: scanT0, commitT0: commitT0})
-			}
-			if c.cfg.Arena != nil {
-				shadow = append(shadow, arena.AdmitOutcome{RequestID: it.call.reqID, VM: it.vm})
-			}
-			continue
-		}
-		var journalT0 time.Time
 		if c.jr != nil {
 			vm := it.vm
-			journalT0 = time.Now()
-			jerr = c.jr.append(record{Op: opAdmit, T: c.fleet.Now(), VM: &vm, Server: i, Start: start})
-			d.Stages.Journal = time.Since(journalT0)
+			jerr = c.appendLocked(&ev, record{Op: opAdmit, T: c.fleet.Now(), VM: &vm, Server: i, Start: start})
 			if jerr == nil {
 				appended = true
 			}
@@ -747,16 +693,10 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 		c.met.admissions++
 		c.sinceSnapshot++
 		placed++
-		if observe {
-			d.Op = obs.OpAdmit
-			d.Server = adm.Server
-			d.Start, d.End = adm.Start, adm.End
-			pend = append(pend, pendDecision{
-				d: d, journaled: c.jr != nil && jerr == nil,
-				trace: it.call.trace, enqueued: it.call.enqueued,
-				scanT0: scanT0, commitT0: commitT0, journalT0: journalT0,
-			})
-		}
+		ev.d.Op = obs.OpAdmit
+		ev.d.Server = adm.Server
+		ev.d.Start, ev.d.End = adm.Start, adm.End
+		evs = append(evs, ev)
 		if c.cfg.Arena != nil {
 			shadow = append(shadow, arena.AdmitOutcome{
 				RequestID: it.call.reqID, VM: it.vm, Server: adm.Server, Accepted: true,
@@ -786,19 +726,23 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 	c.met.infeasible += stats.FeasibilityRejections
 	c.maybeSnapshotLocked()
 	c.sampleEnergyLocked()
+	// finish is entered holding c.mu and releases it. Every journaled
+	// admit's decision carries the batch fsync's duration, but the fsync
+	// ran once: each traced caller gets a single fsync span for it.
 	finish := func(jerr error, syncT0 time.Time, syncDur time.Duration) {
-		for i := range pend {
-			p := &pend[i]
-			if p.journaled {
-				p.d.Stages.Sync = syncDur
+		var synced []string
+		for i := range evs {
+			ev := &evs[i]
+			if !ev.journal.IsZero() {
+				ev.d.Stages.Sync = syncDur
+				if !slices.Contains(synced, ev.tc.SpanID) {
+					synced = append(synced, ev.tc.SpanID)
+					ev.sync = syncT0
+				}
 			}
-			if c.rec != nil {
-				c.rec.Record(p.d)
-			}
-			// Non-journaled items have Stages.Sync == 0, so the zero-value
-			// guard in emitStageSpans drops their fsync span.
-			c.emitStageSpans(p.trace, &p.d, p.enqueued, p.scanT0, p.commitT0, p.journalT0, syncT0)
+			c.emitLocked(ev)
 		}
+		c.mu.Unlock()
 		c.log.Debug("batch processed",
 			"batch", batchID,
 			"requests", total,
@@ -814,7 +758,6 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 		}
 	}
 	if c.jr == nil || jerr != nil || !appended {
-		c.mu.Unlock()
 		finish(jerr, time.Time{}, 0)
 		return
 	}
@@ -836,7 +779,6 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 		if cerr != nil {
 			cerr = c.journalFailedLocked(cerr)
 		}
-		c.mu.Unlock()
 		finish(cerr, syncT0, syncDur)
 	}()
 }
@@ -936,57 +878,24 @@ func (c *Cluster) Release(ctx context.Context, id int) (online.PlacedVM, error) 
 	if c.jfail != nil {
 		return online.PlacedVM{}, c.jfail
 	}
-	tc := obs.TraceContextFrom(ctx)
-	d := obs.Decision{
-		RequestID: obs.RequestID(ctx),
-		TraceID:   tc.TraceID,
-		Op:        obs.OpRelease,
-		VM:        id,
-		Clock:     c.fleet.Now(),
-	}
+	ev := newEvent(ctx, obs.OpRelease, id, c.fleet.Now())
 	if _, ok := c.fleet.Resident(id); !ok {
-		if c.rec != nil {
-			d.Reason = (&NotResidentError{ID: id}).Error()
-			c.rec.Record(d)
-		}
-		return online.PlacedVM{}, &NotResidentError{ID: id}
+		return online.PlacedVM{}, c.failLocked(&ev, &NotResidentError{ID: id})
 	}
 	p, err := c.fleet.Release(id)
 	if err != nil {
-		if c.rec != nil {
-			d.Reason = err.Error()
-			c.rec.Record(d)
-		}
-		return p, err
+		return p, c.failLocked(&ev, err)
 	}
 	c.met.releases++
 	c.sinceSnapshot++
 	// The release took effect in memory (journal failures below don't
 	// undo it), so the challenger replicas must see it too.
 	c.cfg.Arena.OfferRelease(c.fleet.Now(), id)
-	var jerr error
-	var journalT0, syncT0 time.Time
-	if c.jr != nil {
-		journalT0 = time.Now()
-		jerr = c.jr.append(record{Op: opRelease, T: c.fleet.Now(), ID: id})
-		d.Stages.Journal = time.Since(journalT0)
-		if jerr == nil {
-			syncT0 = time.Now()
-			jerr = c.jr.commit()
-			d.Stages.Sync = time.Since(syncT0)
-			c.met.fsyncSeconds.Observe(d.Stages.Sync.Seconds())
-		}
-		if jerr != nil {
-			jerr = c.journalFailedLocked(jerr)
-		}
-	}
-	d.Server = c.fleet.View().Server(p.Server).ID
-	d.Start = p.Start
-	d.End = p.End()
-	if c.rec != nil {
-		c.rec.Record(d)
-	}
-	c.emitStageSpans(tc, &d, time.Time{}, time.Time{}, time.Time{}, journalT0, syncT0)
+	jerr := c.journalLocked(&ev, record{Op: opRelease, T: c.fleet.Now(), ID: id})
+	ev.d.Server = c.fleet.View().Server(p.Server).ID
+	ev.d.Start = p.Start
+	ev.d.End = p.End()
+	c.emitLocked(&ev)
 	c.maybeSnapshotLocked()
 	c.sampleEnergyLocked()
 	return p, jerr
@@ -1008,24 +917,9 @@ func (c *Cluster) Migrate(ctx context.Context, vmID, serverID int) (api.Migratio
 	if c.jfail != nil {
 		return api.MigrationRecord{}, c.jfail
 	}
-	tc := obs.TraceContextFrom(ctx)
-	opT0 := time.Now()
-	d := obs.Decision{
-		RequestID: obs.RequestID(ctx),
-		TraceID:   tc.TraceID,
-		Op:        obs.OpMigrate,
-		VM:        vmID,
-		Server:    serverID,
-		Clock:     c.fleet.Now(),
-		Stages:    obs.StageTimings{Decode: obs.DecodeSpan(ctx)},
-	}
-	fail := func(err error) (api.MigrationRecord, error) {
-		if c.rec != nil {
-			d.Reason = err.Error()
-			c.rec.Record(d)
-		}
-		return api.MigrationRecord{}, err
-	}
+	ev := newEvent(ctx, obs.OpMigrate, vmID, c.fleet.Now())
+	ev.d.Server = serverID
+	ev.umbrella, ev.detail = obs.SpanMigrate, "manual"
 	to := -1
 	for i := range c.cfg.Servers {
 		if c.cfg.Servers[i].ID == serverID {
@@ -1034,23 +928,23 @@ func (c *Cluster) Migrate(ctx context.Context, vmID, serverID int) (api.Migratio
 		}
 	}
 	if to < 0 {
-		return fail(&MigrationInfeasibleError{VM: vmID, Server: serverID, Reason: "unknown server id"})
+		return api.MigrationRecord{}, c.failLocked(&ev, &MigrationInfeasibleError{VM: vmID, Server: serverID, Reason: "unknown server id"})
 	}
 	if _, ok := c.fleet.Resident(vmID); !ok {
-		return fail(&NotResidentError{ID: vmID})
+		return api.MigrationRecord{}, c.failLocked(&ev, &NotResidentError{ID: vmID})
 	}
-	commitT0 := time.Now()
+	ev.commit = time.Now()
 	from, handoff, err := c.fleet.Migrate(vmID, to)
-	d.Stages.Commit = time.Since(commitT0)
+	ev.d.Stages.Commit = time.Since(ev.commit)
 	if err != nil {
 		var me *online.MigrateError
 		if errors.As(err, &me) {
-			return fail(&MigrationInfeasibleError{VM: vmID, Server: serverID, Reason: me.Reason})
+			err = &MigrationInfeasibleError{VM: vmID, Server: serverID, Reason: me.Reason}
 		}
-		return fail(err)
+		return api.MigrationRecord{}, c.failLocked(&ev, err)
 	}
 	cost := c.cfg.MigrationCostPerGB * from.VM.Demand.Mem
-	rec, jerr := c.journalMigrationLocked(&d, from, to, handoff, "manual", 0, cost, tc, opT0, commitT0)
+	rec, jerr := c.journalMigrationLocked(&ev, from, to, handoff, "manual", 0, cost)
 	c.maybeSnapshotLocked()
 	c.sampleEnergyLocked()
 	return rec, jerr
@@ -1087,42 +981,25 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 	if c.jfail != nil {
 		return online.PlacedVM{}, 0, c.jfail
 	}
-	tc := obs.TraceContextFrom(ctx)
-	opT0 := time.Now()
-	d := obs.Decision{
-		RequestID: obs.RequestID(ctx),
-		TraceID:   tc.TraceID,
-		Op:        obs.OpAdopt,
-		VM:        vm.ID,
-		Clock:     c.fleet.Now(),
-		Stages:    obs.StageTimings{Decode: obs.DecodeSpan(ctx)},
-	}
-	fail := func(err error) (online.PlacedVM, int, error) {
-		if c.rec != nil {
-			d.Reason = err.Error()
-			c.rec.Record(d)
-		}
-		return online.PlacedVM{}, 0, err
-	}
+	ev := newEvent(ctx, obs.OpAdopt, vm.ID, c.fleet.Now())
+	ev.umbrella = obs.SpanAdopt
 	if vm.ID < 1 {
-		return fail(&AdoptInfeasibleError{VM: vm.ID, Reason: "vm id must be ≥ 1"})
+		return online.PlacedVM{}, 0, c.failLocked(&ev, &AdoptInfeasibleError{VM: vm.ID, Reason: "vm id must be ≥ 1"})
 	}
 	if p, ok := c.fleet.Resident(vm.ID); ok {
 		if p.VM == vm && p.Start == actualStart {
 			// The drain retried an adoption that already took effect:
 			// re-acknowledge the existing placement.
-			d.Server = c.fleet.View().Server(p.Server).ID
-			d.Start, d.End = p.Start, p.End()
-			if c.rec != nil {
-				c.rec.Record(d)
-			}
+			ev.d.Server = c.fleet.View().Server(p.Server).ID
+			ev.d.Start, ev.d.End = p.Start, p.End()
+			c.emitLocked(&ev)
 			return p, max(p.Start, c.fleet.Now()+1), nil
 		}
-		return fail(&AdoptInfeasibleError{VM: vm.ID, Reason: "a different vm with this id is already resident"})
+		return online.PlacedVM{}, 0, c.failLocked(&ev, &AdoptInfeasibleError{VM: vm.ID, Reason: "a different vm with this id is already resident"})
 	}
 	// Deterministic target choice: first awake server that fits, then
 	// first sleeping one.
-	commitT0 := time.Now()
+	ev.commit = time.Now()
 	to, handoff := -1, 0
 	var lastErr error
 	for pass := 0; pass < 2 && to < 0; pass++ {
@@ -1139,18 +1016,18 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 			lastErr = err
 			var ae *online.AdoptError
 			if !errors.As(err, &ae) {
-				return fail(err)
+				return online.PlacedVM{}, 0, c.failLocked(&ev, err)
 			}
 		}
 	}
-	d.Stages.Commit = time.Since(commitT0)
+	ev.d.Stages.Commit = time.Since(ev.commit)
 	if to < 0 {
 		reason := "no server can host the remaining interval"
 		var ae *online.AdoptError
 		if errors.As(lastErr, &ae) && ae.Reason == "no remaining minutes to host" {
 			reason = ae.Reason
 		}
-		return fail(&AdoptInfeasibleError{VM: vm.ID, Reason: reason})
+		return online.PlacedVM{}, 0, c.failLocked(&ev, &AdoptInfeasibleError{VM: vm.ID, Reason: reason})
 	}
 	p, _ := c.fleet.Resident(vm.ID)
 	c.met.adoptions++
@@ -1158,43 +1035,17 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 	if vm.ID >= c.nextID {
 		c.nextID = vm.ID + 1
 	}
-	var jerr error
-	var journalT0, syncT0 time.Time
-	if c.jr != nil {
-		journalT0 = time.Now()
-		jerr = c.jr.append(record{
-			Op:      opAdopt,
-			T:       c.fleet.Now(),
-			VM:      &vm,
-			Server:  to,
-			Start:   actualStart,
-			Handoff: handoff,
-		})
-		d.Stages.Journal = time.Since(journalT0)
-		if jerr == nil {
-			syncT0 = time.Now()
-			jerr = c.jr.commit()
-			d.Stages.Sync = time.Since(syncT0)
-			c.met.fsyncSeconds.Observe(d.Stages.Sync.Seconds())
-		}
-		if jerr != nil {
-			jerr = c.journalFailedLocked(jerr)
-		}
-	}
-	d.Server = c.fleet.View().Server(to).ID
-	d.Start, d.End = p.Start, p.End()
-	if c.rec != nil {
-		c.rec.Record(d)
-	}
-	if c.cfg.Spans != nil && tc.Valid() {
-		ad := obs.TraceContext{TraceID: tc.TraceID, SpanID: obs.NewSpanID()}
-		c.emitStageSpans(ad, &d, time.Time{}, time.Time{}, commitT0, journalT0, syncT0)
-		c.cfg.Spans.Record(obs.Span{
-			TraceID: tc.TraceID, SpanID: ad.SpanID, Parent: tc.SpanID,
-			Name: obs.SpanAdopt, Op: obs.OpAdopt, VM: vm.ID,
-			Start: opT0, Duration: time.Since(opT0),
-		})
-	}
+	jerr := c.journalLocked(&ev, record{
+		Op:      opAdopt,
+		T:       c.fleet.Now(),
+		VM:      &vm,
+		Server:  to,
+		Start:   actualStart,
+		Handoff: handoff,
+	})
+	ev.d.Server = c.fleet.View().Server(to).ID
+	ev.d.Start, ev.d.End = p.Start, p.End()
+	c.emitLocked(&ev)
 	c.maybeSnapshotLocked()
 	c.sampleEnergyLocked()
 	return p, handoff, jerr
@@ -1202,70 +1053,41 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 
 // journalMigrationLocked finishes one executed fleet migration: it
 // journals the migrate record (append + fsync), adds it to the retained
-// history, bumps the metrics and records the flight decision d (Server,
-// From, Start/End and stage timings are filled in here). The returned
-// error is the sticky journal failure, if the append or sync broke it —
-// the migration itself already took effect in memory, exactly like an
-// admission that breaks the journal.
-//
-// When tc is valid the move is also emitted as trace spans: a SpanMigrate
-// umbrella parented on tc (started at opT0, the caller's view of when the
-// move began) with the commit/journal/fsync stage spans nested under it
-// (commitT0 is when the caller started the fleet commit).
-func (c *Cluster) journalMigrationLocked(d *obs.Decision, from online.PlacedVM, to, handoff int, policy string, saved, cost float64, tc obs.TraceContext, opT0, commitT0 time.Time) (api.MigrationRecord, error) {
+// history, bumps the metrics and emits the operation event ev (Server,
+// From, Start/End and the journal stages are filled in here). The
+// returned error is the sticky journal failure, if the append or sync
+// broke it — the migration itself already took effect in memory, exactly
+// like an admission that breaks the journal.
+func (c *Cluster) journalMigrationLocked(ev *opEvent, from online.PlacedVM, to, handoff int, policy string, saved, cost float64) (api.MigrationRecord, error) {
 	now := c.fleet.Now()
 	seq := c.volMigSeq + 1
-	var jerr error
-	var journalT0, syncT0 time.Time
 	if c.jr != nil {
 		seq = c.jr.seq + 1
-		journalT0 = time.Now()
-		jerr = c.jr.append(record{
-			Op:      opMigrate,
-			T:       now,
-			ID:      from.VM.ID,
-			Server:  to,
-			From:    from.Server,
-			Handoff: handoff,
-			Policy:  policy,
-			Saved:   saved,
-			Cost:    cost,
-		})
-		d.Stages.Journal = time.Since(journalT0)
-		if jerr == nil {
-			syncT0 = time.Now()
-			jerr = c.jr.commit()
-			d.Stages.Sync = time.Since(syncT0)
-			c.met.fsyncSeconds.Observe(d.Stages.Sync.Seconds())
-		}
-		if jerr != nil {
-			jerr = c.journalFailedLocked(jerr)
-		}
 	} else {
 		c.volMigSeq = seq
 	}
+	jerr := c.journalLocked(ev, record{
+		Op:      opMigrate,
+		T:       now,
+		ID:      from.VM.ID,
+		Server:  to,
+		From:    from.Server,
+		Handoff: handoff,
+		Policy:  policy,
+		Saved:   saved,
+		Cost:    cost,
+	})
 	moved := from
 	moved.Server = to
 	rec := c.recordMigrationLocked(seq, moved, from.Server, now, handoff, policy, saved, cost)
 	c.met.migrations++
 	c.met.migrationSaved += saved
 	c.sinceSnapshot++
-	d.Server = rec.To
-	d.From = rec.From
-	d.Start, d.End = rec.Start, rec.End
-	d.SavedWattMinutes = saved
-	if c.rec != nil {
-		c.rec.Record(*d)
-	}
-	if c.cfg.Spans != nil && tc.Valid() {
-		mig := obs.TraceContext{TraceID: tc.TraceID, SpanID: obs.NewSpanID()}
-		c.emitStageSpans(mig, d, opT0, time.Time{}, commitT0, journalT0, syncT0)
-		c.cfg.Spans.Record(obs.Span{
-			TraceID: tc.TraceID, SpanID: mig.SpanID, Parent: tc.SpanID,
-			Name: obs.SpanMigrate, Op: obs.OpMigrate, VM: d.VM,
-			Detail: policy, Start: opT0, Duration: time.Since(opT0),
-		})
-	}
+	ev.d.Server = rec.To
+	ev.d.From = rec.From
+	ev.d.Start, ev.d.End = rec.Start, rec.End
+	ev.d.SavedWattMinutes = saved
+	c.emitLocked(ev)
 	return rec, jerr
 }
 
@@ -1332,17 +1154,9 @@ func (c *Cluster) AdvanceTo(t int) error {
 	c.fleet.AdvanceTo(t)
 	c.cfg.Arena.OfferTick(t)
 	c.sampleEnergyLocked()
-	if c.jr == nil {
-		return nil
-	}
 	c.sinceSnapshot++
-	err := c.jr.append(record{Op: opTick, T: t})
-	if err == nil {
-		err = c.jr.commit()
-	}
-	if err != nil {
-		err = c.journalFailedLocked(err)
-	}
+	// A tick records no decision; its event only takes the timings.
+	err := c.journalLocked(&opEvent{}, record{Op: opTick, T: t})
 	c.maybeSnapshotLocked()
 	return err
 }

@@ -197,31 +197,36 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 		}
 		perMove := net / float64(len(moves))
 		for _, m := range moves {
-			d := obs.Decision{
-				RequestID: reqID,
-				TraceID:   tc.TraceID,
-				Op:        obs.OpMigrate,
-				VM:        m.vm.VM.ID,
-				Clock:     now,
-				Stages:    obs.StageTimings{Scan: planDur}, // the donor's planning time
+			// Every move of this donor was planned by the one drain plan,
+			// so each carries the plan's time as its scan stage.
+			ev := opEvent{
+				d: obs.Decision{
+					RequestID: reqID,
+					TraceID:   tc.TraceID,
+					Op:        obs.OpMigrate,
+					VM:        m.vm.VM.ID,
+					Clock:     now,
+					Stages:    obs.StageTimings{Scan: planDur},
+				},
+				tc:       passTC,
+				umbrella: obs.SpanMigrate,
+				detail:   policy,
+				start:    planT0,
+				scan:     planT0,
 			}
-			commitT0 := time.Now()
+			ev.commit = time.Now()
 			from, handoff, err := c.fleet.Migrate(m.vm.VM.ID, m.to)
-			d.Stages.Commit = time.Since(commitT0)
+			ev.d.Stages.Commit = time.Since(ev.commit)
 			if err != nil {
 				// The plan was checked conservatively against the live
 				// ledgers, so this is a planner bug, not an operational
 				// state; stop the pass rather than guess.
-				if c.rec != nil {
-					d.Reason = err.Error()
-					c.rec.Record(d)
-				}
-				return res, fmt.Errorf("cluster: consolidation executed an infeasible plan: %w", err)
+				return res, fmt.Errorf("cluster: consolidation executed an infeasible plan: %w", c.failLocked(&ev, err))
 			}
 			if handoff != m.handoff {
 				return res, fmt.Errorf("cluster: consolidation handoff drifted: planned %d, executed %d", m.handoff, handoff)
 			}
-			rec, jerr := c.journalMigrationLocked(&d, from, m.to, handoff, policy, perMove, m.cost, passTC, planT0, commitT0)
+			rec, jerr := c.journalMigrationLocked(&ev, from, m.to, handoff, policy, perMove, m.cost)
 			res.Moves = append(res.Moves, rec)
 			res.Executed++
 			res.Saved += perMove

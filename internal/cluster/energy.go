@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"time"
-
 	"vmalloc/internal/obs"
 	"vmalloc/internal/online"
 )
@@ -63,54 +61,4 @@ func (c *Cluster) sampleEnergyLocked() {
 		s.Classes[key] = *cu
 	}
 	c.cfg.Energy.Record(s)
-}
-
-// emitStageSpans records one decision's non-zero stage timings as typed
-// trace spans parented on tc (the span that carried the operation into
-// the cluster). enqueued is when the call entered the micro-batch queue
-// (decode ended there, queue wait started); the remaining instants are
-// each stage's measured start, zero when the stage did not run. Nil span
-// store or an untraced call are no-ops.
-func (c *Cluster) emitStageSpans(tc obs.TraceContext, d *obs.Decision, enqueued, scanT0, commitT0, journalT0, syncT0 time.Time) {
-	if c.cfg.Spans == nil || !tc.Valid() {
-		return
-	}
-	base := obs.Span{
-		TraceID: tc.TraceID,
-		Parent:  tc.SpanID,
-		Op:      d.Op,
-		VM:      d.VM,
-		Batch:   d.Batch,
-	}
-	emit := func(name string, start time.Time, dur time.Duration) {
-		if dur <= 0 {
-			return
-		}
-		sp := base
-		sp.SpanID = obs.NewSpanID()
-		sp.Name = name
-		sp.Start = start
-		sp.Duration = dur
-		c.cfg.Spans.Record(sp)
-	}
-	st := &d.Stages
-	if !enqueued.IsZero() {
-		emit(obs.SpanDecode, enqueued.Add(-st.Decode), st.Decode)
-		emit(obs.SpanQueue, enqueued, st.QueueWait)
-	}
-	emit(obs.SpanScan, scanT0, st.Scan)
-	emit(obs.SpanCommit, commitT0, st.Commit)
-	emit(obs.SpanJournal, journalT0, st.Journal)
-	emit(obs.SpanSync, syncT0, st.Sync)
-}
-
-// firstTrace returns the first valid trace context among a batch's calls
-// — the trace batch-level spans (the shadow-arena enqueue) attach to.
-func firstTrace(batch []*admitCall) obs.TraceContext {
-	for _, call := range batch {
-		if call.trace.Valid() {
-			return call.trace
-		}
-	}
-	return obs.TraceContext{}
 }

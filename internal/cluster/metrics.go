@@ -42,9 +42,10 @@ type metrics struct {
 	consolidateSeconds *obs.Histogram
 	// queueWaitSeconds observes, per Admit call, how long the call sat in
 	// the micro-batch queue before its batch started; fsyncSeconds
-	// observes each batch's journal fsync. Both are the cumulative
-	// /metrics view of the per-decision stage timings the flight recorder
-	// keeps.
+	// observes each journal fsync the cluster waits on (one per batch
+	// group commit, release, migration, adoption and clock tick). Both
+	// are the cumulative /metrics view of the stage timings each
+	// operation event carries.
 	queueWaitSeconds *obs.Histogram
 	fsyncSeconds     *obs.Histogram
 }
